@@ -211,7 +211,9 @@ def _seed_reference_schedule(htg, function, platform):
     finish = {}
     core_busy = {c: [] for c in core_ids}
     core_ready = {c: 0.0 for c in core_ids}
-    dependent = htg.dependent_pairs()  # the seed's dead O(n^2) computation
+    # the seed's dead O(n^2) computation: every dependent pair, materialized
+    reach = htg.reachability()
+    dependent = {(u, v) for u in reach.nodes for v in reach.members(reach.descendants(u))}
 
     placed = set()
     ready_pool = list(tasks)

@@ -84,7 +84,8 @@ constraints to a maximisation problem, so the tightened bound is provably
 no looser than the plain one.
 
 **Race checking** (:mod:`~repro.analysis.races`): happens-before is the
-transitive closure of HTG dependence edges plus per-core program order;
+reachability (:class:`~repro.utils.graphs.Reachability`) of HTG dependence
+edges plus per-core program order;
 every cross-task conflict (write-write or read-write on a declaration in
 ``SHARED`` / ``INPUT`` / ``OUTPUT`` storage) must be ordered, else a
 ``race.*`` finding is produced before codegen.
@@ -111,7 +112,7 @@ the per-region code fingerprints.  The rules:
   :data:`~repro.analysis.report.PROVENANCES`).
 * **Race pairs re-check only changed endpoints.**
   :func:`~repro.analysis.races.incremental_race_check` reuses the
-  transitive closure when the happens-before relation and task universe
+  reachability when the happens-before relation and task universe
   are equal, and re-scans only pairs with a changed endpoint; clean-pair
   findings are replayed as ``reused``.  Any guard mismatch falls back to
   the full scan.

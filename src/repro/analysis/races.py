@@ -7,11 +7,14 @@ the happens-before relation the generated parallel program enforces:
   the tasks on one core in order);
 * consecutive tasks on the same core (program order).
 
-The transitive closure of that relation must order every pair of tasks
-that conflict on a *shared* variable (write-write or read-write on a
+The reachability of that relation (:class:`~repro.utils.graphs.Reachability`,
+per-task ancestor/descendant bitsets) must order every pair of tasks that
+conflict on a *shared* variable (write-write or read-write on a
 ``SHARED`` / ``INPUT`` / ``OUTPUT`` declaration); an unordered conflicting
 pair mapped to different cores is reported as a race -- before any C code
-is emitted.
+is emitted.  Candidates come from reader/writer bitsets per shared name, so
+only unordered pairs with a write conflict are examined one by one; the
+ordered and conflict-free pairs are counted by popcount.
 
 Sibling loop chunks of the same split loop conflict at name granularity
 by construction (they touch the same buffers), so their disjointness is
@@ -26,16 +29,16 @@ Incremental re-checking
 -----------------------
 
 :func:`incremental_race_check` additionally returns a
-:class:`RaceCheckState` snapshot (happens-before relation, its transitive
-closure, the shared-name universe, and the findings).  On a later run over
+:class:`RaceCheckState` snapshot (happens-before relation, its
+reachability, the shared-name universe, and the findings).  On a later run over
 an *edited* model it accepts the previous state plus the set of tasks whose
 content fingerprints changed, and re-derives only what the edit can affect:
 
-* the closure is reused verbatim when the happens-before relation and task
-  universe are unchanged (the closure is a pure function of those inputs);
-* with the closure reused and an identical shared-name universe, the
+* the reachability is reused verbatim when the happens-before relation and
+  task universe are unchanged (it is a pure function of those inputs);
+* with the reachability reused and an identical shared-name universe, the
   verdict of a pair of *unchanged* tasks is a pure function of unchanged
-  inputs (their read/write sets, kinds and parents, and the closure), so
+  inputs (their read/write sets, kinds and parents, and the reachability), so
   only pairs with at least one changed endpoint are re-scanned; previous
   findings for clean pairs are replayed with provenance ``reused``.
 
@@ -56,7 +59,7 @@ from repro.analysis.report import AnalysisReport, Finding
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
 from repro.ir.program import Function, Storage
-from repro.utils.graphs import transitive_closure
+from repro.utils.graphs import Reachability
 
 #: Storage classes whose variables live in memory visible to every core.
 SHARED_STORAGE = (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
@@ -76,17 +79,16 @@ def _chunk_siblings(a: Task, b: Task) -> bool:
 class RaceCheckState:
     """Reusable snapshot of one race-check run.
 
-    The closure is by far the dominant cost of the check (networkx
-    transitive closure over every task); it depends only on
-    ``happens_before`` and the task universe, both recorded here so a
-    later run can prove reuse valid by equality.
+    The reachability depends only on ``happens_before`` and the task
+    universe, both recorded here so a later run can prove reuse valid by
+    equality.
     """
 
     #: HTG dependence edges plus per-core program-order pairs.
     happens_before: frozenset[tuple[str, str]]
-    #: Transitive closure of ``happens_before`` over ``graph_task_ids``.
-    ordered: frozenset[tuple[str, str]]
-    #: Every task in the HTG the closure was computed over.
+    #: Reachability of ``happens_before`` over ``graph_task_ids``.
+    reachability: Reachability[str]
+    #: Every task in the HTG the reachability was computed over.
     graph_task_ids: frozenset[str]
     #: The mapped tasks that were pair-scanned.
     scanned_task_ids: frozenset[str]
@@ -109,22 +111,15 @@ def _happens_before_pairs(
 def _scan_pair(
     a: Task,
     b: Task,
-    ordered: frozenset[tuple[str, str]],
     shared_names: frozenset[str],
     mapping: dict[str, int],
     function: Function,
     report: AnalysisReport,
     footprint_of,
 ) -> None:
-    report.bump("pairs_checked")
-    if (a.task_id, b.task_id) in ordered or (b.task_id, a.task_id) in ordered:
-        report.bump("pairs_ordered")
-        return
+    """Report an unordered pair that conflicts on a shared name."""
     write_write = a.writes & b.writes & shared_names
     write_read = (a.writes & b.reads | a.reads & b.writes) & shared_names
-    if not write_write and not write_read:
-        report.bump("pairs_disjoint")
-        return
     conflict = sorted(write_write | write_read)
     if _chunk_siblings(a, b):
         if footprints_conflict_free(footprint_of(a), footprint_of(b)):
@@ -173,8 +168,10 @@ def incremental_race_check(
 
     ``changed_tasks`` is the set of task ids whose *content* differs from
     the run that produced ``prev_state`` (new tasks included).  Pass
-    ``None`` to force a full scan even when the closure is reusable.
+    ``None`` to force a full scan even when the reachability is reusable.
     Replayed findings keep the core numbers of the run they came from.
+    A cyclic happens-before relation (core orders that deadlock against the
+    dependences) raises ``ValueError``.
     """
     report = AnalysisReport("race_checker")
     shared_names = frozenset(
@@ -202,10 +199,47 @@ def incremental_race_check(
     )
     if reuse_closure:
         assert prev_state is not None
-        ordered = prev_state.ordered
+        reach = prev_state.reachability
         report.bump("closure_reused")
     else:
-        ordered = frozenset(transitive_closure(htg.tasks.keys(), happens_before))
+        reach = Reachability(
+            [t.task_id for t in tasks] + list(htg.tasks), happens_before
+        )
+
+    # Bitsets over the reachability's node index; ``position`` is the scan
+    # order, which fixes the order findings are reported in.
+    position = {t.task_id: i for i, t in enumerate(tasks)}
+    by_id = {t.task_id: t for t in tasks}
+    bits = [reach.bit(t.task_id) for t in tasks]
+    scanned = reach.mask(position)
+    readers: dict[str, int] = {}
+    writers: dict[str, int] = {}
+    for task, bit in zip(tasks, bits):
+        for name in task.reads & shared_names:
+            readers[name] = readers.get(name, 0) | bit
+        for name in task.writes & shared_names:
+            writers[name] = writers.get(name, 0) | bit
+
+    to_scan: list[tuple[Task, Task]] = []
+    checked = ordered = 0
+
+    def visit(a: Task, partners: int) -> None:
+        """Count ``a``'s pairs with ``partners``; queue the conflicting
+        unordered ones, each as (earlier, later) in scan order."""
+        nonlocal checked, ordered
+        related = reach.related(a.task_id) & partners
+        checked += partners.bit_count()
+        ordered += related.bit_count()
+        conflicts = 0
+        for name in a.writes & shared_names:
+            conflicts |= readers.get(name, 0) | writers[name]
+        for name in a.reads & shared_names:
+            conflicts |= writers.get(name, 0)
+        hits = sorted(reach.members(conflicts & partners & ~related), key=position.__getitem__)
+        ia = position[a.task_id]
+        for b_id in hits:
+            b = by_id[b_id]
+            to_scan.append((b, a) if position[b_id] < ia else (a, b))
 
     skip_clean_pairs = (
         reuse_closure
@@ -214,43 +248,44 @@ def incremental_race_check(
         and shared_names == prev_state.shared_names
         and task_ids == prev_state.scanned_task_ids
     )
+    earlier = 0
     if skip_clean_pairs:
         assert prev_state is not None and changed_tasks is not None
         changed = {tid for tid in changed_tasks if tid in task_ids}
-        index = {t.task_id: i for i, t in enumerate(tasks)}
-        # Scan only pairs with >=1 changed endpoint; replay the rest.
-        for a in tasks:
-            if a.task_id not in changed:
-                continue
-            ia = index[a.task_id]
-            for b in tasks:
-                if b.task_id == a.task_id:
-                    continue
-                ib = index[b.task_id]
-                if b.task_id in changed and ib < ia:
-                    continue  # the (b, a) iteration covers this pair
-                first, second = (b, a) if ib < ia else (a, b)
-                _scan_pair(
-                    first, second, ordered, shared_names, mapping, function,
-                    report, footprint_of,
-                )
+        changed_bits = reach.mask(changed)
+        # Scan only pairs with >=1 changed endpoint; replay the rest.  A pair
+        # of two changed tasks is visited from its earlier endpoint only, so
+        # each pair is counted once.
+        for task, bit in zip(tasks, bits):
+            if task.task_id in changed:
+                visit(task, scanned & ~bit & ~(changed_bits & earlier))
+            earlier |= bit
+    else:
+        for task, bit in zip(tasks, bits):
+            earlier |= bit
+            visit(task, scanned & ~earlier)
+
+    if checked:
+        report.bump("pairs_checked", checked)
+    if ordered:
+        report.bump("pairs_ordered", ordered)
+    if checked - ordered - len(to_scan):
+        report.bump("pairs_disjoint", checked - ordered - len(to_scan))
+    for a, b in to_scan:
+        _scan_pair(a, b, shared_names, mapping, function, report, footprint_of)
+
+    if skip_clean_pairs:
+        assert prev_state is not None
         total_pairs = len(tasks) * (len(tasks) - 1) // 2
-        report.bump("pairs_reused", total_pairs - report.checked.get("pairs_checked", 0))
+        report.bump("pairs_reused", total_pairs - checked)
         for finding in prev_state.findings:
             a_id, _, b_id = finding.subject.partition("<->")
             if a_id not in changed and b_id not in changed:
                 report.add(replace(finding, provenance="reused"))
-    else:
-        for i, a in enumerate(tasks):
-            for b in tasks[i + 1:]:
-                _scan_pair(
-                    a, b, ordered, shared_names, mapping, function,
-                    report, footprint_of,
-                )
 
     state = RaceCheckState(
         happens_before=happens_before,
-        ordered=ordered,
+        reachability=reach,
         graph_task_ids=graph_task_ids,
         scanned_task_ids=task_ids,
         shared_names=shared_names,

@@ -25,9 +25,15 @@ passes skip them anyway, so the pruned pair list starts strictly smaller.
 
 Soundness of the ordering argument requires that every dependence the
 closure uses is actually enforced by the timeline builder, which drops
-edges touching unmapped tasks; the relation therefore falls back to the
-closure of the mapped-task-induced subgraph whenever any edge endpoint is
-unmapped.
+edges touching unmapped tasks; the closure is therefore taken over the
+mapped-task-induced subgraph (the whole HTG when every edge is mapped).
+
+Cost.  The closure is one :class:`~repro.utils.graphs.Reachability` whose
+low bits are the sharers in sorted order, so per task the same-core,
+ordered and candidate counts are popcounts of a few masks.  An array-name
+-> sharer-bitset index restricts the footprint comparison to unordered
+cross-core pairs that name a common array; every other such pair touches
+no common element and is counted address-disjoint without a comparison.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from repro.analysis.footprints import (
 )
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.program import Function
-from repro.utils.graphs import transitive_closure
+from repro.utils.graphs import Reachability
 
 
 @dataclass(frozen=True)
@@ -72,21 +78,6 @@ class StaticMhpRelation:
         }
 
 
-def _ordered_pairs(
-    htg: HierarchicalTaskGraph, mapping: dict[str, int]
-) -> "set[tuple[str, str]] | frozenset[tuple[str, str]]":
-    """Dependence closure restricted to orderings the timeline enforces."""
-    if all(e.src in mapping and e.dst in mapping for e in htg.edges):
-        return htg.dependent_pairs()
-    mapped_edges = [
-        (e.src, e.dst) for e in htg.edges if e.src in mapping and e.dst in mapping
-    ]
-    return {
-        (str(u), str(v))
-        for (u, v) in transitive_closure(set(mapping), mapped_edges)
-    }
-
-
 def compute_static_mhp(
     htg: HierarchicalTaskGraph,
     function: Function,
@@ -97,10 +88,11 @@ def compute_static_mhp(
 ) -> StaticMhpRelation:
     """Compute the pruned contender skeleton for one design point.
 
-    ``sharers`` defaults to every mapped leaf task with a non-zero declared
-    shared-access count; the system-level analysis passes its code-level
-    derivation instead so the two agree exactly.  ``use_footprints=False``
-    restricts pruning to the (count-preserving) ordered pairs.
+    ``sharers`` (distinct task ids) defaults to every mapped leaf task with
+    a non-zero declared shared-access count; the system-level analysis
+    passes its code-level derivation instead so the two agree exactly.
+    ``use_footprints=False`` restricts pruning to the (count-preserving)
+    ordered pairs.
     """
     store = store if store is not None else default_footprint_store()
     leaf_ids = [t.task_id for t in htg.leaf_tasks() if t.task_id in mapping]
@@ -110,32 +102,54 @@ def compute_static_mhp(
             for t in htg.leaf_tasks()
             if t.task_id in mapping and t.total_shared_accesses > 0
         ]
-    ordered = _ordered_pairs(htg, mapping)
+    # Sharers own the low bits in sorted order, so a task's ordered sharers
+    # are one mask and its kept list comes out sorted.  Only edges between
+    # mapped tasks are enforced by the timeline builder, so the closure is
+    # taken over the mapped-task-induced subgraph.
+    ordered_sharers = sorted(sharers)
+    reach = Reachability(
+        ordered_sharers + list(mapping),
+        [(e.src, e.dst) for e in htg.edges if e.src in mapping and e.dst in mapping],
+    )
+    all_sharers = (1 << len(ordered_sharers)) - 1
+    on_core: dict[int, int] = {}
+    for i, other in enumerate(ordered_sharers):
+        on_core[mapping[other]] = on_core.get(mapping[other], 0) | 1 << i
+
     footprints: dict[str, TaskFootprint] = {}
+    by_array: dict[str, int] = {}
     if use_footprints:
         for tid in leaf_ids:
             footprints[tid] = store.footprint(function, htg.task(tid))
+        for i, other in enumerate(ordered_sharers):
+            fp = footprints[other]
+            for name in fp.array_reads.keys() | fp.array_writes.keys():
+                by_array[name] = by_array.get(name, 0) | 1 << i
 
     allowed: dict[str, tuple[str, ...]] = {}
     candidate = same_core = pruned_ordered = pruned_disjoint = kept = 0
     for tid in leaf_ids:
-        keep: list[str] = []
-        for other in sorted(sharers):
-            if other == tid:
-                continue
-            candidate += 1
-            if mapping[other] == mapping[tid]:
-                same_core += 1
-                continue
-            if (tid, other) in ordered or (other, tid) in ordered:
-                pruned_ordered += 1
-                continue
-            if use_footprints and footprints_address_disjoint(
-                footprints[tid], footprints[other]
-            ):
-                pruned_disjoint += 1
-                continue
-            keep.append(other)
+        own = reach.bit(tid) & all_sharers
+        local = on_core.get(mapping[tid], 0)
+        candidate += all_sharers.bit_count() - own.bit_count()
+        same_core += (local & ~own).bit_count()
+        cross = all_sharers & ~local
+        unordered = cross & ~reach.related(tid)
+        pruned_ordered += (cross & ~unordered).bit_count()
+        if use_footprints:
+            # pairs sharing no array name are address-disjoint outright
+            fp = footprints[tid]
+            sharing = 0
+            for name in fp.array_reads.keys() | fp.array_writes.keys():
+                sharing |= by_array.get(name, 0)
+            keep = [
+                other
+                for other in reach.members(unordered & sharing)
+                if not footprints_address_disjoint(fp, footprints[other])
+            ]
+            pruned_disjoint += unordered.bit_count() - len(keep)
+        else:
+            keep = reach.members(unordered)
         kept += len(keep)
         allowed[tid] = tuple(keep)
     return StaticMhpRelation(

@@ -1122,10 +1122,7 @@ class Pipeline:
             )
             # reused tasks are copies of already-annotated tasks and the
             # platform signature is proven unchanged (psig_ok), so only the
-            # re-extracted tasks need WCET annotation; when the edit kept
-            # the task/edge structure, the previous run's transitive-closure
-            # memo applies verbatim as well.
-            htg.adopt_dependent_pairs(prev.htg)
+            # re-extracted tasks need WCET annotation
             cost_model = HardwareCostModel(self.platform, self.platform.cores[0].core_id)
             self.wcet_cache.annotate_htg(
                 htg, model.entry, cost_model, only=set(inc["changed_task_ids"])

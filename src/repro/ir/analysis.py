@@ -143,14 +143,18 @@ def shared_access_summary(function: Function, stmt: Stmt) -> AccessSummary:
     cores.
     """
     full = access_summary(stmt)
-    shared_names = {
-        d.name
-        for d in function.all_decls()
-        if d.is_array and d.storage in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
-    }
+
+    def shared_array(name: str) -> bool:
+        decl = function.lookup(name)
+        return (
+            decl is not None
+            and decl.is_array
+            and decl.storage in (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
+        )
+
     return AccessSummary(
-        reads={k: v for k, v in full.reads.items() if k in shared_names},
-        writes={k: v for k, v in full.writes.items() if k in shared_names},
+        reads={k: v for k, v in full.reads.items() if shared_array(k)},
+        writes={k: v for k, v in full.writes.items() if shared_array(k)},
     )
 
 

@@ -61,15 +61,37 @@ class Function:
     body: Block = field(default_factory=Block)
     #: Free-form annotations carried through the flow (e.g. originating block).
     annotations: dict[str, object] = field(default_factory=dict)
+    #: name -> first declaration of that name, valid while ``_index_key``
+    #: matches the declaration lists (see :meth:`lookup`).
+    _index: dict[str, VarDecl] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _index_key: tuple[int, int, int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def all_decls(self) -> list[VarDecl]:
         return list(self.params) + list(self.decls)
 
+    def _declaration_key(self) -> tuple[int, int, int, int]:
+        return (id(self.params), len(self.params), id(self.decls), len(self.decls))
+
     def lookup(self, name: str) -> VarDecl | None:
-        for decl in self.all_decls():
-            if decl.name == name:
-                return decl
-        return None
+        """The first declaration named ``name`` (params before decls).
+
+        Served from a name index that :meth:`declare` keeps current and that
+        is rebuilt whenever the declaration lists were replaced or grown
+        directly (builders append to ``params``).  The index holds the
+        declarations themselves, so in-place edits such as a storage change
+        are always visible.
+        """
+        if self._index_key != self._declaration_key():
+            index: dict[str, VarDecl] = {}
+            for decl in self.all_decls():
+                index.setdefault(decl.name, decl)
+            self._index = index
+            self._index_key = self._declaration_key()
+        return self._index.get(name)
 
     def declare(self, decl: VarDecl) -> VarDecl:
         existing = self.lookup(decl.name)
@@ -81,6 +103,8 @@ class Function:
                 )
             return existing
         self.decls.append(decl)
+        self._index[decl.name] = decl
+        self._index_key = self._declaration_key()
         return decl
 
     def arrays(self) -> list[VarDecl]:

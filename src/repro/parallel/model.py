@@ -91,15 +91,14 @@ class ParallelProgram:
             raise ValueError(
                 f"unpaired synchronisation flags: {sorted(signals ^ waits)}"
             )
-        dependent = htg.dependent_pairs()
+        reach = htg.reachability()
         for cp in self.core_programs.values():
-            ids = cp.task_ids()
-            for i, a in enumerate(ids):
-                for b in ids[i + 1:]:
-                    if (b, a) in dependent:
-                        raise ValueError(
-                            f"core {cp.core_id}: task {a!r} ordered before its dependence {b!r}"
-                        )
+            misordered = reach.first_misordered(cp.task_ids())
+            if misordered is not None:
+                a, b = misordered
+                raise ValueError(
+                    f"core {cp.core_id}: task {a!r} ordered before its dependence {b!r}"
+                )
 
 
 class MemoryMapError(ValueError):

@@ -4,9 +4,9 @@ from repro.utils.rng import make_rng
 from repro.utils.tables import Table
 from repro.utils.intervals import Interval, intervals_overlap
 from repro.utils.graphs import (
+    Reachability,
     topological_order,
     longest_path_length,
-    transitive_closure,
     is_acyclic,
 )
 
@@ -15,8 +15,8 @@ __all__ = [
     "Table",
     "Interval",
     "intervals_overlap",
+    "Reachability",
     "topological_order",
     "longest_path_length",
-    "transitive_closure",
     "is_acyclic",
 ]

@@ -90,10 +90,10 @@ class TestHtgExtraction:
         names = {t.origin for t in htg.leaf_tasks()}
         assert {"a", "b", "c"} <= names
         # pipeline: a -> b -> c dependences exist
-        pairs = htg.dependent_pairs()
+        reach = htg.reachability()
         a_task = next(t.task_id for t in htg.leaf_tasks() if t.origin == "a")
         c_task = next(t.task_id for t in htg.leaf_tasks() if t.origin == "c")
-        assert (a_task, c_task) in pairs
+        assert reach.reaches(a_task, c_task)
 
     def test_loop_granularity_creates_chunks(self, pipeline_model):
         htg = extract_htg(pipeline_model, ExtractionOptions(granularity="loop", loop_chunks=4))
@@ -101,11 +101,11 @@ class TestHtgExtraction:
         chunks = [t for t in htg.leaf_tasks() if t.kind is TaskKind.LOOP_CHUNK]
         assert len(chunks) >= 4
         # chunks of the same parent must not depend on each other
-        pairs = htg.dependent_pairs()
+        reach = htg.reachability()
         for x in chunks:
             for y in chunks:
                 if x.parent == y.parent and x.task_id != y.task_id:
-                    assert (x.task_id, y.task_id) not in pairs
+                    assert not reach.reaches(x.task_id, y.task_id)
 
     def test_shared_access_annotation(self, pipeline_model):
         htg = extract_htg(pipeline_model)

@@ -19,6 +19,7 @@ from repro.ir.analysis import (
 )
 from repro.ir.interpreter import InterpreterError, run_function
 from repro.ir.loops import LoopBoundError, all_loops, max_loop_depth
+from repro.ir.program import Storage
 from repro.ir.types import INT
 
 
@@ -126,6 +127,19 @@ class TestAccessSummaries:
         shared_only = shared_access_summary(func, func.body)
         assert "s" in shared_only.reads
         assert "l" not in shared_only.writes
+
+    def test_shared_summary_sees_storage_changed_in_place(self):
+        fb = FunctionBuilder("f")
+        shared = fb.shared_array("s", (8,))
+        out = fb.output_array("o", (8,))
+        with fb.loop("i", 0, 8) as i:
+            fb.assign(fb.at(out, i), fb.at(shared, i))
+        func = fb.build()
+        assert set(shared_access_summary(func, func.body).reads) == {"s"}
+        # scratchpad allocation rewrites storage on the declaration itself
+        func.lookup("s").storage = Storage.SCRATCHPAD
+        summary = shared_access_summary(func, func.body)
+        assert summary.reads == {} and set(summary.writes) == {"o"}
 
     def test_read_write_sets(self):
         func = build_saxpy()

@@ -1,5 +1,7 @@
 """Tests for the IR node classes, builder, printer and type system."""
 
+import copy
+
 import pytest
 
 from repro.ir import (
@@ -23,6 +25,7 @@ from repro.ir import (
     to_c,
 )
 from repro.ir.expressions import ArrayRef, substitute, try_evaluate_constant
+from repro.ir.program import Storage, VarDecl
 from repro.ir.statements import collect_loops, count_statements
 from repro.ir.types import is_array, is_scalar
 
@@ -116,6 +119,28 @@ class TestBuilderAndStatements:
         loops = collect_loops(func.body)
         assert len(loops) == 1
         assert isinstance(loops[0], For)
+
+    def test_lookup_index_follows_every_way_declarations_grow(self):
+        fb = FunctionBuilder("f")
+        fb.shared_array("s", (8,))
+        func = fb._function
+        assert func.lookup("s").storage is Storage.SHARED
+        # builders append to params directly, after the index was built
+        fb.input_array("x", (8,))
+        assert func.lookup("x") is func.params[-1]
+        func.params.append(VarDecl("p", INT, Storage.INPUT))
+        assert func.lookup("p") is func.params[-1]
+        # the first declaration of a name wins, params before decls
+        func.params.append(VarDecl("s", INT, Storage.INPUT))
+        assert func.lookup("s") is func.params[-1]
+        assert func.declare(VarDecl("t", INT)) is func.lookup("t")
+        assert func.lookup("missing") is None
+        clone = copy.deepcopy(func)
+        clone.decls.append(VarDecl("u", INT))
+        assert clone.lookup("u") is clone.decls[-1]
+        assert func.lookup("u") is None
+        func.decls = []
+        assert func.lookup("t") is None
 
     def test_builder_validation_catches_undeclared(self):
         fb = FunctionBuilder("bad")
