@@ -2,8 +2,9 @@
 
 PR 9 precomputes a schedule-independent contender pair skeleton before the
 fixed point iterates: dependence-ordered pairs (count-preserving, pure
-speedup) and shared-footprint-disjoint pairs (tightening, models an
-address-aware interconnect) are excluded once, and every per-iteration MHP
+speedup) and shared-footprint-disjoint pairs (tightening; sound only under
+address-aware arbitration, which no platform preset models) are excluded
+once, and every per-iteration MHP
 pass runs over the surviving pairs only.
 
 This experiment runs the pruned and unpruned analyses on the shipped use

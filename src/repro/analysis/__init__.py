@@ -72,9 +72,15 @@ to a ``race.chunk-overlap-unproven`` warning when it cannot -- never a
 silent pass.  The static-MHP relation built on top
 (:func:`~repro.analysis.static_mhp.compute_static_mhp`) excludes
 dependence-ordered pairs (count-preserving, pure speedup) and
-address-disjoint pairs (tightening, models banked arbitration; opt-in via
-``static_pruning``), and every exclusion is re-provable by the independent
-:class:`~repro.analysis.certify.ContentionCertificate` checker.
+address-disjoint pairs (tightening; opt-in via ``static_pruning``), and
+every exclusion is re-provable by the independent
+:class:`~repro.analysis.certify.ContentionCertificate` checker.  The
+address-disjoint exclusions are sound only under address-aware (banked)
+arbitration, which no platform preset models -- ``RoundRobinBus`` charges
+every concurrent sharer, ``FullCrossbar`` assumes one target port -- so on
+the presets a pruned bound can lie below a ``contention="dynamic"``
+simulation of the same schedule (a known fault; see
+:mod:`~repro.analysis.static_mhp`).
 
 **Flow-fact format** (:class:`repro.wcet.ipet.FlowFacts`): infeasible
 edges are stable CFG edge keys ``(src bid, dst bid, kind)`` pinned to

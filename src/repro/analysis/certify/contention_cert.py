@@ -8,15 +8,24 @@ the checker re-derives, for **every** cross-core (task, sharer) pair the
 skeleton excludes, an independent proof that the exclusion was justified
 -- its own reachability search over the HTG edges and its own footprint
 walker with its own interval arithmetic, sharing no code with
-:mod:`repro.analysis.static_mhp` / :mod:`repro.analysis.footprints`.
+:mod:`repro.analysis.static_mhp`, :mod:`repro.analysis.footprints`,
+:mod:`repro.analysis.value_range` or :mod:`repro.utils.graphs`.
 
 A pair the checker can prove neither ordered nor address-disjoint is a
 typed refutation (``certify.contention.unjustified-exclusion``); a
 fabricated disjointness claim or a dropped happens-before edge therefore
 cannot survive checking.  What the checker does *not* prove, mirroring the
-fixed-point certificate's trust boundary: the shared-access counts carried
-verbatim (they decide who is a sharer) and the HTG edge set itself -- the
-checker proves the skeleton consistent with the graph it is handed.
+fixed-point certificate's trust boundary:
+
+* the shared-access counts carried verbatim (they decide who is a sharer);
+* the HTG edge set itself -- the checker proves the skeleton consistent
+  with the graph it is handed;
+* that an address-disjoint pair really does not interfere on the
+  platform.  That holds only under address-aware (banked) arbitration,
+  which no platform preset models: ``RoundRobinBus`` charges every
+  concurrent sharer and ``FullCrossbar`` assumes every contender targets
+  one port.  An accepted certificate therefore does not make a pruned
+  bound safe on the presets (see :mod:`repro.analysis.static_mhp`).
 """
 
 from __future__ import annotations
@@ -269,34 +278,86 @@ def _bounds_disjoint(a: dict, b: dict) -> bool:
     return True
 
 
-def _reachable_pairs(htg, mapping: dict) -> set:
-    """Transitive dependence over mapped-task-induced edges, by plain BFS.
+def _related_masks(htg, index: dict) -> list[int]:
+    """Per task bit, the mask of every task it reaches or is reached from.
 
-    Restricting to mapped endpoints mirrors what the timeline builder
-    enforces: an edge touching an unmapped task constrains nothing.
+    Only edges between mapped tasks count (``index`` holds exactly the
+    mapped tasks), mirroring what the timeline builder enforces: an edge
+    touching an unmapped task constrains nothing.
     """
-    succs: dict[str, list[str]] = {}
+    succs: list[list[int]] = [[] for _ in index]
+    preds: list[list[int]] = [[] for _ in index]
     for edge in htg.edges:
-        if edge.src in mapping and edge.dst in mapping:
-            succs.setdefault(edge.src, []).append(edge.dst)
-    pairs: set[tuple[str, str]] = set()
-    for root in mapping:
-        frontier = list(succs.get(root, ()))
-        seen = set()
-        while frontier:
-            node = frontier.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            pairs.add((root, node))
-            frontier.extend(succs.get(node, ()))
-    return pairs
+        u = index.get(edge.src)
+        v = index.get(edge.dst)
+        if u is not None and v is not None:
+            succs[u].append(v)
+            preds[v].append(u)
+    return [d | a for d, a in zip(_closure(succs), _closure(preds))]
+
+
+def _closure(succs: list[list[int]]) -> list[int]:
+    """Per node, the mask of nodes reachable over one or more edges.
+
+    One sweep in DFS postorder settles every successor before its
+    predecessors; on a cyclic graph (the DFS met a back edge) the sweep is
+    repeated until no mask changes, so every node of a cycle reaches the
+    whole cycle, itself included -- what a plain search from each node
+    finds.
+    """
+    done = [0] * len(succs)  # 0 unseen, 1 on the DFS stack, 2 finished
+    postorder: list[int] = []
+    cyclic = False
+    for root in range(len(succs)):
+        if done[root]:
+            continue
+        done[root] = 1
+        stack = [(root, iter(succs[root]))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if not done[child]:
+                    done[child] = 1
+                    stack.append((child, iter(succs[child])))
+                    break
+                cyclic |= done[child] == 1
+            else:
+                stack.pop()
+                done[node] = 2
+                postorder.append(node)
+    reach = [0] * len(succs)
+    changed = True
+    while changed:
+        changed = False
+        for node in postorder:
+            mask = reach[node]
+            for child in succs[node]:
+                mask |= 1 << child | reach[child]
+            if mask != reach[node]:
+                reach[node] = mask
+                changed = cyclic
+    return reach
+
+
+def _bits(mask: int):
+    """Set bit positions of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def check_contention_certificate(
     certificate: ContentionCertificate, htg, function
 ) -> AnalysisReport:
-    """Re-prove every excluded contender pair ordered or address-disjoint."""
+    """Re-prove every excluded contender pair ordered or address-disjoint.
+
+    Sharers own the low bits of every mask in sorted order (the other
+    mapped tasks follow), so per task the checked, excluded and ordered
+    pairs are popcounts, and only excluded pairs that are not ordered and
+    name a common shared array are compared window by window, in sharer
+    order -- the order a pair-by-pair scan reports refutations in.
+    """
     report = AnalysisReport("certify_contention")
     cert = certificate
 
@@ -328,24 +389,34 @@ def check_contention_certificate(
         )
         return report
 
-    ordered = _reachable_pairs(htg, cert.mapping)
-    shared_names = _shared_array_names(function)
-    sharers = sorted(
-        tid for tid in cert.mapping if cert.shared.get(tid, 0) > 0
-    )
-    bounds: dict[str, dict] = {}
+    sharers = sorted(tid for tid in cert.mapping if cert.shared.get(tid, 0) > 0)
+    tasks = sorted(cert.mapping)
+    index = {tid: i for i, tid in enumerate(sharers)}
+    for tid in tasks:
+        index.setdefault(tid, len(index))
+    related = _related_masks(htg, index)
+    all_sharers = (1 << len(sharers)) - 1
+    on_core: dict[int, int] = {}
+    for i, tid in enumerate(sharers):
+        core = cert.mapping[tid]
+        on_core[core] = on_core.get(core, 0) | 1 << i
 
-    def bounds_of(tid: str) -> "dict | None":
-        if tid not in bounds:
-            try:
-                task = htg.task(tid)
-            except KeyError:
-                return None
-            bounds[tid] = _task_access_bounds(function, task, shared_names)
-        return bounds[tid]
+    # array name -> sharers whose windows name it; a sharer missing from the
+    # HTG has no windows and so can never be proved disjoint
+    shared_names = _shared_array_names(function)
+    bounds: dict[str, dict] = {}
+    by_array: dict[str, int] = {}
+    missing = 0
+    for i, tid in enumerate(sharers):
+        if tid not in htg.tasks:
+            missing |= 1 << i
+            continue
+        bounds[tid] = _task_access_bounds(function, htg.tasks[tid], shared_names)
+        for name in bounds[tid]:
+            by_array[name] = by_array.get(name, 0) | 1 << i
 
     pairs_checked = exclusions = 0
-    for tid in sorted(cert.mapping):
+    for tid in tasks:
         if tid not in htg.tasks:
             fail(
                 "certify.contention.coverage",
@@ -353,29 +424,46 @@ def check_contention_certificate(
                 subject=tid,
             )
             continue
-        allowed_here = set(cert.allowed.get(tid, ()))
-        for other in sharers:
-            if other == tid or cert.mapping[other] == cert.mapping[tid]:
-                continue
-            pairs_checked += 1
-            if other in allowed_here:
-                continue
-            exclusions += 1
-            if (tid, other) in ordered or (other, tid) in ordered:
-                report.bump("exclusions_ordered")
-                continue
-            fa = bounds_of(tid)
-            fb = bounds_of(other)
-            if fa is not None and fb is not None and _bounds_disjoint(fa, fb):
-                report.bump("exclusions_disjoint")
-                continue
-            fail(
-                "certify.contention.unjustified-exclusion",
-                f"the skeleton excludes sharer {other!r} from task {tid!r}'s "
-                "contenders, but the pair is neither dependence-ordered nor "
-                "provably footprint-disjoint",
-                subject=f"{tid}<->{other}",
+        cross = all_sharers & ~on_core.get(cert.mapping[tid], 0)
+        allowed = 0
+        for other in cert.allowed.get(tid, ()):
+            allowed |= 1 << index[other]
+        excluded = cross & ~allowed
+        pairs_checked += cross.bit_count()
+        exclusions += excluded.bit_count()
+        ordered = excluded & related[index[tid]]
+        rest = excluded & ~ordered
+        disjoint = rest
+        if rest:
+            if tid not in bounds:
+                bounds[tid] = _task_access_bounds(
+                    function, htg.tasks[tid], shared_names
+                )
+            own = bounds[tid]
+            touching = missing
+            for name in own:
+                touching |= by_array.get(name, 0)
+            for i in _bits(rest & touching):
+                other = sharers[i]
+                if not missing >> i & 1 and _bounds_disjoint(own, bounds[other]):
+                    continue
+                disjoint ^= 1 << i
+                fail(
+                    "certify.contention.unjustified-exclusion",
+                    f"the skeleton excludes sharer {other!r} from task {tid!r}'s "
+                    "contenders, but the pair is neither dependence-ordered nor "
+                    "provably footprint-disjoint",
+                    subject=f"{tid}<->{other}",
+                )
+        # first pair first, so ``checked`` keys appear as a pair scan adds them
+        for _, counter, mask in sorted(
+            (
+                (ordered & -ordered, "exclusions_ordered", ordered),
+                (disjoint & -disjoint, "exclusions_disjoint", disjoint),
             )
+        ):
+            if mask:
+                report.bump(counter, mask.bit_count())
     report.bump("pairs_checked", pairs_checked)
     report.bump("exclusions_checked", exclusions)
     return report

@@ -68,8 +68,7 @@ from repro.ir.statements import (
     While,
 )
 
-#: Storage classes visible to every core (mirrors ``races.SHARED_STORAGE``;
-#: redeclared here because :mod:`repro.analysis.races` imports this module).
+#: Storage classes whose variables live in memory visible to every core.
 SHARED_STORAGE = (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
 
 
@@ -143,15 +142,25 @@ def iteration_value_range(stmt: For, env: Env) -> ValueRange | None:
     return ValueRange(lo, hi)
 
 
+def shared_declarations(function: Function) -> tuple[frozenset[str], frozenset[str]]:
+    """``(shared arrays, shared scalars)`` declared by ``function``.
+
+    Callers deriving many footprints in one analysis call build this once
+    and pass it to every :meth:`FootprintStore.footprint`.  Never keep it
+    past the call: storage classes change in place
+    (:mod:`repro.transforms.scratchpad` moves arrays to scratchpads).
+    """
+    arrays: set[str] = set()
+    scalars: set[str] = set()
+    for decl in function.all_decls():
+        if decl.storage in SHARED_STORAGE:
+            (arrays if decl.is_array else scalars).add(decl.name)
+    return frozenset(arrays), frozenset(scalars)
+
+
 class _FootprintWalker:
-    def __init__(self, function: Function) -> None:
-        self.shared_arrays: set[str] = set()
-        self.shared_scalars: set[str] = set()
-        for decl in function.all_decls():
-            if decl.storage in SHARED_STORAGE:
-                (self.shared_arrays if decl.is_array else self.shared_scalars).add(
-                    decl.name
-                )
+    def __init__(self, declared: tuple[frozenset[str], frozenset[str]]) -> None:
+        self.shared_arrays, self.shared_scalars = declared
         self.array_reads: dict[str, ValueRange] = {}
         self.array_writes: dict[str, ValueRange] = {}
         self.scalar_reads: set[str] = set()
@@ -227,9 +236,19 @@ class _FootprintWalker:
         raise TypeError(f"unsupported statement {type(stmt).__name__}")
 
 
-def task_footprint(function: Function, task: Task) -> TaskFootprint:
-    """Sound shared-memory footprint of ``task`` (see the module docstring)."""
-    walker = _FootprintWalker(function)
+def task_footprint(
+    function: Function,
+    task: Task,
+    declared: "tuple[frozenset[str], frozenset[str]] | None" = None,
+) -> TaskFootprint:
+    """Sound shared-memory footprint of ``task`` (see the module docstring).
+
+    ``declared`` is :func:`shared_declarations` of ``function``, derived
+    here when not given.
+    """
+    walker = _FootprintWalker(
+        declared if declared is not None else shared_declarations(function)
+    )
     walker.walk(task.statements, {})
     # merge declared-but-unseen shared names as whole footprints: hand-built
     # tasks may declare accesses their statements block does not contain
@@ -372,7 +391,13 @@ class FootprintStore:
         )
         return "|".join((self._context_fingerprint(function), region_fp, declared))
 
-    def footprint(self, function: Function, task: Task) -> TaskFootprint:
+    def footprint(
+        self,
+        function: Function,
+        task: Task,
+        declared: "tuple[frozenset[str], frozenset[str]] | None" = None,
+    ) -> TaskFootprint:
+        """Memoized :func:`task_footprint` (``declared`` is passed through)."""
         key = self.key(function, task)
         cached = self._entries.get(key)
         if cached is not None:
@@ -382,7 +407,7 @@ class FootprintStore:
                 cached, task_id=task.task_id
             )
         self.misses += 1
-        fp = task_footprint(function, task)
+        fp = task_footprint(function, task, declared)
         self._entries[key] = fp
         while len(self._entries) > self._max_entries:
             self._entries.popitem(last=False)
@@ -407,4 +432,5 @@ def task_footprints(
 ) -> dict[str, TaskFootprint]:
     """Footprints of ``tasks`` keyed by task id (memoized via ``store``)."""
     store = store if store is not None else default_footprint_store()
-    return {t.task_id: store.footprint(function, t) for t in tasks}
+    declared = shared_declarations(function)
+    return {t.task_id: store.footprint(function, t, declared) for t in tasks}

@@ -51,18 +51,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.analysis.footprints import (
+    SHARED_STORAGE,
     TaskFootprint,
     default_footprint_store,
     footprints_conflict_free,
+    shared_declarations,
 )
 from repro.analysis.report import AnalysisReport, Finding
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.htg.task import Task, TaskKind
-from repro.ir.program import Function, Storage
+from repro.ir.program import Function
 from repro.utils.graphs import Reachability
-
-#: Storage classes whose variables live in memory visible to every core.
-SHARED_STORAGE = (Storage.SHARED, Storage.INPUT, Storage.OUTPUT)
 
 
 def _chunk_siblings(a: Task, b: Task) -> bool:
@@ -174,15 +173,14 @@ def incremental_race_check(
     dependences) raises ``ValueError``.
     """
     report = AnalysisReport("race_checker")
-    shared_names = frozenset(
-        d.name for d in function.all_decls() if d.storage in SHARED_STORAGE
-    )
+    declared = shared_declarations(function)
+    shared_names = declared[0] | declared[1]
     store = default_footprint_store()
     fp_cache: dict[str, TaskFootprint] = {}
 
     def footprint_of(task: Task) -> TaskFootprint:
         if task.task_id not in fp_cache:
-            fp_cache[task.task_id] = store.footprint(function, task)
+            fp_cache[task.task_id] = store.footprint(function, task, declared)
         return fp_cache[task.task_id]
 
     tasks = [t for t in htg.leaf_tasks() if t.task_id in mapping]

@@ -11,11 +11,17 @@ once, statically, before the iteration starts:
   these pairs cannot change any contender count -- it is a pure speedup.
 * **Address-disjoint pairs.**  Tasks whose shared-array footprints
   (:mod:`repro.analysis.footprints`) touch no common element generate no
-  interference on an address-sensitive interconnect.  Excluding them can
-  only *lower* contender counts, so the pruned bound is never looser than
-  the unpruned one -- it models banked/address-aware arbitration, which is
-  why pruning is opt-in (``static_pruning``) and the unpruned pass remains
-  the differential oracle.
+  interference on an interconnect with address-aware (banked)
+  arbitration.  Excluding them can only *lower* contender counts, so the
+  pruned bound is never looser than the unpruned one.  No platform preset
+  has such an interconnect: ``RoundRobinBus`` charges every concurrent
+  sharer and ``FullCrossbar`` assumes every contender targets one port,
+  so there these exclusions are **not sound** -- the pruned bound can
+  fall below a ``contention="dynamic"`` simulation of the same schedule
+  (``random_pipeline_diagram(16, 8, 48, seed=5000)``, ``loop_chunks=6``,
+  4 cores: bound 111114 cycles, makespan 116180, unpruned bound 147038).
+  This is a known fault; pruning stays opt-in (``static_pruning``) and
+  ``use_footprints=False`` keeps only the ordered exclusions.
 
 The relation is *schedule-independent*: it uses only the dependence
 closure and the footprints, never the candidate timeline, so one relation
@@ -45,6 +51,7 @@ from repro.analysis.footprints import (
     TaskFootprint,
     default_footprint_store,
     footprints_address_disjoint,
+    shared_declarations,
 )
 from repro.htg.graph import HierarchicalTaskGraph
 from repro.ir.program import Function
@@ -119,8 +126,9 @@ def compute_static_mhp(
     footprints: dict[str, TaskFootprint] = {}
     by_array: dict[str, int] = {}
     if use_footprints:
+        declared = shared_declarations(function)
         for tid in leaf_ids:
-            footprints[tid] = store.footprint(function, htg.task(tid))
+            footprints[tid] = store.footprint(function, htg.task(tid), declared)
         for i, other in enumerate(ordered_sharers):
             fp = footprints[other]
             for name in fp.array_reads.keys() | fp.array_writes.keys():

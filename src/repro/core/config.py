@@ -67,9 +67,18 @@ class ToolchainConfig:
     #: Prune the system-level MHP contender derivation with the static
     #: interference relation (:mod:`repro.analysis.static_mhp`):
     #: dependence-ordered and shared-footprint-disjoint task pairs are
-    #: excluded once, before the fixed point iterates.  Models an
-    #: address-aware interconnect, so bounds can only tighten; off by
-    #: default to keep the unpruned pass as the differential oracle.
+    #: excluded once, before the fixed point iterates, so bounds can only
+    #: tighten.  The ordered exclusions are always sound.  The
+    #: footprint-disjoint ones assume address-aware arbitration (banked
+    #: shared memory), which no platform preset models: ``RoundRobinBus``
+    #: charges every concurrent sharer and ``FullCrossbar`` assumes every
+    #: contender targets one port.  On those presets the pruned bound can
+    #: lie below an execution the simulator's ``contention="dynamic"``
+    #: mode produces (``random_pipeline_diagram(16, 8, 48, seed=5000)``,
+    #: ``loop_chunks=6``, 4 cores: pruned bound 111114 cycles, dynamic
+    #: makespan 116180, unpruned bound 147038).  A known fault, kept
+    #: until the platform model carries the arbitration the pruning
+    #: assumes; off by default.
     static_pruning: bool = False
     #: Pair-count threshold above which the ``auto`` MHP backend switches
     #: to the vectorised pass.  ``None`` = the built-in default (also

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import coo_array, csc_array
 
 from repro import obs
 from repro.ir.cfg import ControlFlowGraph, build_cfg
@@ -94,6 +95,60 @@ def _block_cost(block, function: Function, model: HardwareCostModel) -> float:
     return total
 
 
+def _constraint_matrices(
+    cfg: ControlFlowGraph, loop_bounds: dict[int, int]
+) -> tuple[csc_array, np.ndarray, csc_array, np.ndarray]:
+    """``(A_eq, b_eq, A_ub, b_ub)`` over one variable per ``cfg.edges`` entry.
+
+    Equality rows: flow conservation per interior block in ``cfg.blocks``
+    order, then the entry row (out-flow == 1), then the exit row (in-flow
+    == 1).  Inequality rows, in ``loop_bounds`` order: back-edge count <=
+    bound * entry-edge count of the header.  Each edge adds its incidences
+    as COO triplets in one pass; the CSC conversion sums duplicates (a self
+    loop's +1 and -1) and the explicit zeros that leaves are dropped, so the
+    matrices hold exactly the non-zeros of the dense formulation.
+    """
+    flow_row = {
+        block.bid: i
+        for i, block in enumerate(
+            b for b in cfg.blocks if b is not cfg.entry and b is not cfg.exit
+        )
+    }
+    entry_row = len(flow_row)
+    exit_row = entry_row + 1
+    loop_row = {bid: k for k, bid in enumerate(loop_bounds)}
+    eq: list[tuple[int, int, float]] = []
+    ub: list[tuple[int, int, float]] = []
+    for j, edge in enumerate(cfg.edges):
+        row = flow_row.get(edge.dst.bid)
+        if row is not None:
+            eq.append((row, j, 1.0))
+        row = flow_row.get(edge.src.bid)
+        if row is not None:
+            eq.append((row, j, -1.0))
+        if edge.src is cfg.entry:
+            eq.append((entry_row, j, 1.0))
+        if edge.dst is cfg.exit:
+            eq.append((exit_row, j, 1.0))
+        row = loop_row.get(edge.dst.bid)
+        if row is not None:
+            bound = loop_bounds[edge.dst.bid]
+            ub.append((row, j, 1.0 if edge.kind == "back" else -float(bound)))
+
+    def matrix(entries: list[tuple[int, int, float]], num_rows: int) -> csc_array:
+        rows, cols, vals = zip(*entries) if entries else ((), (), ())
+        a = coo_array((vals, (rows, cols)), shape=(num_rows, len(cfg.edges))).tocsc()
+        a.eliminate_zeros()
+        return a
+
+    return (
+        matrix(eq, exit_row + 1),
+        np.array([0.0] * entry_row + [1.0, 1.0]),
+        matrix(ub, len(loop_row)),
+        np.zeros(len(loop_row)),
+    )
+
+
 def ipet_wcet(
     function: Function,
     model: HardwareCostModel,
@@ -132,40 +187,9 @@ def ipet_wcet(
 
     # Objective: block count = sum of incoming edges (entry handled separately).
     c = np.zeros(num_vars)
-    for edge in edges:
-        c[edge_index[edge.key]] -= costs[edge.dst.bid]
+    for i, edge in enumerate(edges):
+        c[i] -= costs[edge.dst.bid]
     entry_cost = costs[cfg.entry.bid] if cfg.entry is not None else 0.0
-
-    a_eq_rows: list[np.ndarray] = []
-    b_eq: list[float] = []
-
-    # Flow conservation for every block except entry and exit.
-    for block in cfg.blocks:
-        if block is cfg.entry or block is cfg.exit:
-            continue
-        row = np.zeros(num_vars)
-        for edge in edges:
-            if edge.dst is block:
-                row[edge_index[edge.key]] += 1.0
-            if edge.src is block:
-                row[edge_index[edge.key]] -= 1.0
-        a_eq_rows.append(row)
-        b_eq.append(0.0)
-
-    # Entry: out-flow is exactly one; exit: in-flow is exactly one.
-    row = np.zeros(num_vars)
-    for edge in edges:
-        if edge.src is cfg.entry:
-            row[edge_index[edge.key]] += 1.0
-    a_eq_rows.append(row)
-    b_eq.append(1.0)
-
-    row = np.zeros(num_vars)
-    for edge in edges:
-        if edge.dst is cfg.exit:
-            row[edge_index[edge.key]] += 1.0
-    a_eq_rows.append(row)
-    b_eq.append(1.0)
 
     # Effective loop bounds: declared, tightened/completed by flow facts.
     effective_bounds = dict(cfg.loop_bounds)
@@ -186,21 +210,8 @@ def ipet_wcet(
             "derived trip-count bound"
         )
 
-    # Loop bounds: back-edge count <= bound * entry-edge count of the header.
-    a_ub_rows: list[np.ndarray] = []
-    b_ub: list[float] = []
-    ub_headers: list[int] = []
-    for header_bid, bound in effective_bounds.items():
-        ub_headers.append(header_bid)
-        header = cfg.block_by_id(header_bid)
-        row = np.zeros(num_vars)
-        for edge in edges:
-            if edge.dst is header and edge.kind == "back":
-                row[edge_index[edge.key]] += 1.0
-            elif edge.dst is header:
-                row[edge_index[edge.key]] -= float(bound)
-        a_ub_rows.append(row)
-        b_ub.append(0.0)
+    a_eq, b_eq, a_ub, b_ub = _constraint_matrices(cfg, effective_bounds)
+    ub_headers = list(effective_bounds)
 
     bounds: list[tuple[float, float | None]] = [(0, None)] * num_vars
     pinned: set[tuple[int, int, str]] = set()
@@ -215,14 +226,14 @@ def ipet_wcet(
         registry = obs.metrics()
         registry.counter("ipet.solves").inc()
         registry.histogram("ipet.vars").observe(num_vars)
-        registry.histogram("ipet.constraints").observe(len(a_eq_rows) + len(a_ub_rows))
+        registry.histogram("ipet.constraints").observe(len(b_eq) + len(b_ub))
     with obs.span("ipet.solve", function=function.name, vars=num_vars):
         result = linprog(
             c,
-            A_eq=np.array(a_eq_rows),
-            b_eq=np.array(b_eq),
-            A_ub=np.array(a_ub_rows) if a_ub_rows else None,
-            b_ub=np.array(b_ub) if b_ub else None,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            A_ub=a_ub if len(b_ub) else None,
+            b_ub=b_ub if len(b_ub) else None,
             bounds=bounds,
             method="highs",
         )
@@ -231,9 +242,9 @@ def ipet_wcet(
 
     # Every block defaults to 0.0 so consumers never KeyError on blocks the
     # worst-case path does not reach; counts are the sum of incoming edges.
+    counts = result.x.tolist()
     block_counts: dict[int, float] = {block.bid: 0.0 for block in cfg.blocks}
-    for edge in edges:
-        count = float(result.x[edge_index[edge.key]])
+    for edge, count in zip(edges, counts):
         block_counts[edge.dst.bid] += count
     # The entry block executes once on function entry.  Only seed that count
     # when no edge flows into the entry: a back edge targeting the entry has
@@ -245,10 +256,10 @@ def ipet_wcet(
     # Retain the full LP witness (primal counts; duals when HiGHS exposes
     # marginals) so an independent checker can re-verify the solution
     # without re-solving.  Duals are keyed by block semantics, never by the
-    # producer's matrix row order: the interior-flow rows were appended in
-    # ``cfg.blocks`` order, then the entry row, then the exit row, and the
-    # inequality rows follow ``ub_headers``.
-    edge_counts = {edge.key: float(result.x[edge_index[edge.key]]) for edge in edges}
+    # producer's matrix row order: ``_constraint_matrices`` lays out the
+    # interior-flow rows in ``cfg.blocks`` order, then the entry row, then
+    # the exit row, and the inequality rows follow ``ub_headers``.
+    edge_counts = {edge.key: count for edge, count in zip(edges, counts)}
     duals = None
     eq_marginals = getattr(getattr(result, "eqlin", None), "marginals", None)
     if eq_marginals is not None and len(eq_marginals) == len(b_eq):

@@ -656,8 +656,12 @@ def system_level_wcet(
     before the iteration, so every MHP pass runs over fewer pairs and the
     resulting bound is never looser than the unpruned one (ordered
     exclusions cannot change any count; footprint exclusions can only
-    lower counts).  Off (the default) is the bit-identical differential
-    oracle -- it leaves this function's behaviour exactly as before.
+    lower counts).  The footprint exclusions assume address-aware
+    arbitration, which no platform preset models, so on the presets a
+    pruned bound can lie below an execution the simulator allows (see
+    :mod:`repro.analysis.static_mhp`).  Off (the default) is the
+    bit-identical differential oracle -- it leaves this function's
+    behaviour exactly as before.
     Pruned results carry the skeleton in ``mhp_allowed`` and are memoized
     under result keys distinct from unpruned ones.
 

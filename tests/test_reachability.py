@@ -7,14 +7,19 @@
   the O(n^2) pair loops they replaced return -- those loops live on below,
   in this file only, as oracles;
 * both schedule validators raise the same first misordered pair;
-* no ``repro`` module imports networkx.
+* no ``repro`` module imports networkx, and every third-party module the
+  package imports is a dependency ``pyproject.toml`` declares.
 """
 
+import importlib.metadata
+import json
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -435,18 +440,59 @@ class TestValidatorsReportTheFirstMisorderedPair:
 # ---------------------------------------------------------------------- #
 # dependency hygiene
 # ---------------------------------------------------------------------- #
-def test_no_repro_module_imports_networkx():
+@pytest.fixture(scope="module")
+def repro_imports():
+    """Import every ``repro.*`` module in a fresh interpreter and report what
+    loaded: the module count, whether networkx is in ``sys.modules``, and
+    the top-level names repro's own import statements pulled in from
+    outside the standard library (what the declared packages load in turn
+    is theirs to declare)."""
     script = (
-        "import importlib, pkgutil, sys\n"
+        "import builtins, importlib, json, pkgutil, sys\n"
+        "real_import = builtins.__import__\n"
+        "direct = set()\n"
+        "def spy(name, globals=None, locals=None, fromlist=(), level=0):\n"
+        "    if level == 0 and (globals or {}).get('__name__', '').startswith('repro'):\n"
+        "        direct.add(name.partition('.')[0])\n"
+        "    return real_import(name, globals, locals, fromlist, level)\n"
+        "builtins.__import__ = spy\n"
         "import repro\n"
         "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
         "for name in names:\n"
         "    importlib.import_module(name)\n"
-        "assert len(names) > 50, names\n"
-        "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+        "third_party = sorted(direct - set(sys.stdlib_module_names) - {'repro'})\n"
+        "print(json.dumps({'modules': len(names), 'networkx': 'networkx' in sys.modules,\n"
+        "                  'third_party': third_party}))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_no_repro_module_imports_networkx(repro_imports):
+    assert repro_imports["modules"] > 50, repro_imports
+    assert not repro_imports["networkx"], "networkx imported"
+
+
+def _distribution_name(requirement):
+    """``"scipy>=1.8 ; python_version..."`` -> ``"scipy"`` (PEP 503 normalised)."""
+    name = re.match(r"[A-Za-z0-9._-]+", requirement.strip()).group(0)
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_every_third_party_module_repro_imports_is_declared(repro_imports):
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    declared = {_distribution_name(dep) for dep in project["dependencies"]}
+    owners = importlib.metadata.packages_distributions()
+    assert repro_imports["third_party"], "the import spy saw no third-party import"
+    for module in repro_imports["third_party"]:
+        dists = {_distribution_name(d) for d in owners.get(module, ())}
+        assert dists & declared, (
+            f"repro imports {module!r} (distribution {sorted(dists) or 'unknown'}), "
+            f"which pyproject.toml does not declare ({sorted(declared)})"
+        )
